@@ -34,10 +34,11 @@ double Samples::Quantile(double q) const {
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
-double Samples::MedianSince(size_t first) const {
-  Samples tail;
-  for (size_t i = first; i < values_.size(); ++i) tail.Add(values_[i]);
-  return tail.Median();
+
+Samples Samples::Between(size_t from, size_t to) const {
+  Samples out;
+  for (size_t i = from; i < to && i < values_.size(); ++i) out.Add(values_[i]);
+  return out;
 }
 
 // ----------------------------------------------------------- Reference
@@ -141,6 +142,17 @@ Status Tracer::Write(const std::string& path) const {
 }
 
 // --------------------------------------------------------------- Shape
+
+const char* KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kPoint: return "point";
+    case Kind::kHistory: return "history";
+    case Kind::kRange: return "range";
+    case Kind::kRetrieve: return "retrieve";
+    case Kind::kDiff: return "diff";
+  }
+  return "unknown";
+}
 
 Shape XMarkShape() { return {"site", "people", "person", "@id"}; }
 Shape SwissProtShape() { return {"ROOT", "", "Record", "pac"}; }
@@ -470,8 +482,31 @@ void Measures::Fail(const std::string& what) {
   correct = false;
 }
 
+double Measures::Factor(const Reference& ref, Phase phase) const {
+  const size_t end = std::min(closing_from, ref.slices());
+  const double us = phase == Phase::kSetup  ? ref.MedianUs(0, loop_from)
+                    : phase == Phase::kLoop ? ref.MedianUs(loop_from, end)
+                                            : ref.MedianUs(end, ref.slices());
+  return Reference::kNominalUs / us;
+}
+
+void Measures::HoldGap(const std::string& name, double gap, double whole,
+                       double share) {
+  if (std::fabs(gap) <= share * whole) return;
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%s is %.4f, beyond %.0f%% of %.4f", name.c_str(),
+                gap, share * 100, whole);
+  Fail(buf);
+}
+
 const std::vector<std::pair<std::string, std::string>>& LayerMetrics() {
   static const std::vector<std::pair<std::string, std::string>> metrics = {
+      {"ingest_mb_per_s", "MB/s"},
+      {"point_query_us", "us"},
+      {"history_query_us", "us"},
+      {"range_query_us", "us"},
+      {"retrieve_ms", "ms"},
+      {"diff_ms", "ms"},
       {"xml.parse_ms_per_mb", "ms/MB"},
       {"xml.serialize_ms_per_mb", "ms/MB"},
       {"keys.annotate_ms_per_mb", "ms/MB"},
@@ -490,7 +525,6 @@ const std::vector<std::pair<std::string, std::string>>& LayerMetrics() {
       {"xarch.query_us.range", "us"},
       {"xarch.query_us.heap_point", "us"},
       {"xarch.retrieve_ms", "ms"},
-      {"xarch.read_wait_ms", "ms"},
       {"persist.wal_append_ms", "ms"},
       {"persist.wal_bytes_per_input_byte", "ratio"},
       {"persist.snapshot_save_ms", "ms"},
@@ -504,7 +538,6 @@ const std::vector<std::pair<std::string, std::string>>& LayerMetrics() {
       {"shard.scatter_reads_per_query", "count"},
       {"shard.routed_per_query", "count"},
       {"shard.ingest_imbalance", "ratio"},
-      {"load.late_ms", "ms"},
       {"bench.reference_us", "us"},
       {"trace.ingest_unattributed_ms", "ms"},
       {"trace.query_unattributed_us", "us"},
@@ -519,57 +552,85 @@ struct Metric {
   double value;
 };
 
-void PrintTime(std::vector<Metric>* out, const std::string& name,
-               const std::string& unit, const Samples& s, double scale,
-               double factor) {
+/// Prints a corrected median (with its p99 and sample count) and returns it.
+double PrintTime(const std::string& name, const std::string& unit, const Samples& s,
+                 double scale, double factor) {
   const double raw = s.Median() * scale;
   std::printf("%-18s %12.4f %-5s (uncorrected %.4f, p99 %.4f, n=%zu)\n",
               name.c_str(), raw * factor, unit.c_str(), raw,
               s.Quantile(0.99) * scale * factor, s.size());
-  out->push_back({name, unit, raw * factor});
+  return raw * factor;
 }
 
 }  // namespace
 
 void Report(const Args& args, const Measures& m, const Reference& ref,
-            const Layers& layers) {
-  const double f = ref.Factor();
+            const Layers& measured) {
+  const double fs = m.Factor(ref, Phase::kSetup);
+  const double f = m.Factor(ref, Phase::kLoop);
+  const double fr = m.Factor(ref, m.reopen_phase);
+  const double fi = m.Factor(ref, m.ingest_phase);
   std::vector<Metric> e2e;
-  std::printf("workload %s seed %llu: reference %.4f us/slice (nominal %.1f, "
-              "%zu slices), correction x%.4f\n",
+  std::printf("workload %s seed %llu: %zu reference slices (nominal %.1f us); "
+              "median per phase: set-up %.4f us, loop %.4f us",
               args.workload.c_str(), static_cast<unsigned long long>(args.seed),
-              ref.MedianUs(), Reference::kNominalUs, ref.slices(), f);
+              ref.slices(), Reference::kNominalUs, Reference::kNominalUs / fs,
+              Reference::kNominalUs / f);
+  if (m.closing_from != SIZE_MAX) {
+    std::printf(", closing %.4f us", Reference::kNominalUs / m.Factor(ref, Phase::kClosing));
+  }
+  std::printf("\n");
   std::printf("%-18s %12.4f s     (uncorrected %.4f)\n", "setup_s",
-              m.setup_s * f, m.setup_s);
-  e2e.push_back({"setup_s", "s", m.setup_s * f});
-  const double fi = m.ingest_ref_us > 0 ? Reference::kNominalUs / m.ingest_ref_us : f;
-  const double ingest_s = m.ingest_ms.Sum() / 1000.0;
-  const double mbps = ingest_s > 0 ? m.ingest_bytes / 1e6 / ingest_s : 0;
-  std::printf("%-18s %12.4f MB/s  (uncorrected %.4f, %.0f bytes in %zu appends, "
-              "reference %.4f us)\n",
-              "ingest_mb_per_s", mbps / fi, mbps, m.ingest_bytes, m.ingest_ms.size(),
-              Reference::kNominalUs / fi);
-  e2e.push_back({"ingest_mb_per_s", "MB/s", mbps / fi});
-  PrintTime(&e2e, "ingest_ms", "ms", m.ingest_ms, 1, fi);
+              m.setup_s * fs, m.setup_s);
+  e2e.push_back({"setup_s", "s", m.setup_s * fs});
+  // latency_ms: the geometric mean of each operation kind's median, so
+  // every kind the loop runs weighs the same however fast it is.
+  double log_sum = 0;
+  for (const auto& [kind, samples] : m.ops_ms) {
+    log_sum += std::log(samples.Median() * f);
+    PrintTime("  op " + kind, "ms", samples, 1, f);
+  }
+  const double latency =
+      m.ops_ms.empty() ? 0 : std::exp(log_sum / static_cast<double>(m.ops_ms.size()));
+  std::printf("%-18s %12.4f ms    (geometric mean of %zu operation kinds)\n",
+              "latency_ms", latency, m.ops_ms.size());
+  e2e.push_back({"latency_ms", "ms", latency});
+  e2e.push_back({"round_ms", "ms", PrintTime("round_ms", "ms", m.round_ms, 1, f)});
+  e2e.push_back({"reopen_ms", "ms", PrintTime("reopen_ms", "ms", m.reopen_ms, 1, fr)});
   std::printf("%-18s %12.0f bytes\n", "archive_bytes", m.archive_bytes);
   e2e.push_back({"archive_bytes", "bytes", m.archive_bytes});
   std::printf("%-18s %12.0f bytes\n", "disk_bytes", m.disk_bytes);
   e2e.push_back({"disk_bytes", "bytes", m.disk_bytes});
-  PrintTime(&e2e, "reopen_ms", "ms", m.reopen_ms, 1, f);
-  PrintTime(&e2e, "point_query_us", "us", m.latency_ms[0], 1000, f);
-  PrintTime(&e2e, "history_query_us", "us", m.latency_ms[1], 1000, f);
-  PrintTime(&e2e, "range_query_us", "us", m.latency_ms[2], 1000, f);
-  PrintTime(&e2e, "retrieve_ms", "ms", m.latency_ms[3], 1, f);
-  PrintTime(&e2e, "diff_ms", "ms", m.latency_ms[4], 1, f);
-  {
-    const double raw = m.reads_ms.Quantile(0.99);
-    std::printf("%-18s %12.4f ms    (uncorrected %.4f, n=%zu)\n", "read_p99_ms",
-                raw * f, raw, m.reads_ms.size());
-    e2e.push_back({"read_p99_ms", "ms", raw * f});
-  }
   const double rss = PeakRssMb();
   std::printf("%-18s %12.3f MB\n", "peak_rss_mb", rss);
   e2e.push_back({"peak_rss_mb", "MB", rss});
+
+  // The figures of single operation kinds, on the workloads that run them.
+  // They are per-layer metrics of the traced run (README.md).
+  Layers layers = measured;
+  std::printf("-- per-kind figures (corrected)\n");
+  if (m.ingest_ms.size() > 0) {
+    const double ingest_s = m.ingest_ms.Sum() / 1000.0;
+    const double mbps = m.ingest_bytes / 1e6 / ingest_s;
+    std::printf("%-18s %12.4f MB/s  (uncorrected %.4f, %.0f bytes in %zu appends)\n",
+                "ingest_mb_per_s", mbps / fi, mbps, m.ingest_bytes, m.ingest_ms.size());
+    layers["ingest_mb_per_s"] = mbps / fi;
+    layers["ingest_ms"] = PrintTime("ingest_ms", "ms", m.ingest_ms, 1, fi);
+  }
+  const char* names[kKinds] = {"point_query_us", "history_query_us", "range_query_us",
+                               "retrieve_ms", "diff_ms"};
+  for (int k = 0; k < kKinds; ++k) {
+    if (m.latency_ms[k].size() == 0) continue;
+    const bool us = k < 3;
+    layers[names[k]] =
+        PrintTime(names[k], us ? "us" : "ms", m.latency_ms[k], us ? 1000 : 1, f);
+  }
+  if (m.reads_ms.size() > 0) {
+    const double raw = m.reads_ms.Quantile(0.99);
+    std::printf("%-18s %12.4f ms    (uncorrected %.4f, n=%zu)\n", "read_p99_ms",
+                raw * f, raw, m.reads_ms.size());
+    layers["read_p99_ms"] = raw * f;
+  }
   if (!m.correct) std::printf("INCORRECT: %s\n", m.error.c_str());
 
   std::string json = "{\"correct\": ";
@@ -586,11 +647,11 @@ void Report(const Args& args, const Measures& m, const Reference& ref,
     first = false;
   };
   if (args.trace) {
+    std::printf("-- traced figures\n");
+    for (const auto& [name, v] : layers) std::printf("%-34s %14.4f\n", name.c_str(), v);
     for (const auto& [name, unit] : LayerMetrics()) {
       auto it = layers.find(name);
-      const double v = it == layers.end() ? 0 : it->second;
-      std::printf("%-34s %14.4f %s\n", name.c_str(), v, unit.c_str());
-      add(name, unit, v);
+      add(name, unit, it == layers.end() ? 0 : it->second);
     }
   } else {
     for (const Metric& metric : e2e) add(metric.name, metric.unit, metric.value);

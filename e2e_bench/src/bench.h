@@ -53,8 +53,8 @@ class Samples {
   /// Nearest-rank quantile, q in [0, 1]; 0 when empty.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
-  /// Median of the values from the `first`-th on.
-  double MedianSince(size_t first) const;
+  /// The values from the `from`-th up to (not including) the `to`-th.
+  Samples Between(size_t from, size_t to) const;
 
  private:
   std::vector<double> values_;
@@ -62,10 +62,11 @@ class Samples {
 
 /// \brief The machine-speed reference: a fixed single-threaded kernel of
 /// string-keyed map lookups and small-string work, run in short slices
-/// between the measured operations. The median slice time against the
-/// nominal time gives the factor by which every timing is corrected, so
-/// that a slower or busier machine moves the reference and the program
-/// alike and the corrected figure stays put. One instance per thread.
+/// between the measured operations. The median slice time of a phase of
+/// the run against the nominal time gives the factor by which every timing
+/// taken in that phase is corrected, so that a slower or busier machine
+/// moves the reference and the program alike and the corrected figure
+/// stays put. One instance per thread.
 class Reference {
  public:
   /// Median slice time, in microseconds, on the machine the benchmark was
@@ -78,11 +79,9 @@ class Reference {
   void Slice();
   void Merge(const Reference& other) { slices_.Append(other.slices_); }
   double MedianUs() const { return slices_.Median(); }
-  /// Median of the slices from the `first`-th on.
-  double MedianUsSince(size_t first) const { return slices_.MedianSince(first); }
+  /// Median of the slices from the `from`-th up to the `to`-th.
+  double MedianUs(size_t from, size_t to) const { return slices_.Between(from, to).Median(); }
   size_t slices() const { return slices_.size(); }
-  /// Multiply a measured time by this to correct it (divide a rate).
-  double Factor() const { return kNominalUs / MedianUs(); }
 
  private:
   std::map<std::string, uint32_t> table_;
@@ -135,6 +134,7 @@ class Tracer {
 /// What a query asks for, and about which element.
 enum class Kind { kPoint, kHistory, kRange, kRetrieve, kDiff };
 inline constexpr int kKinds = 5;
+const char* KindName(Kind kind);
 
 struct Query {
   Kind kind = Kind::kPoint;
@@ -228,29 +228,63 @@ class Reader {
 std::unique_ptr<Reader> LocalReader(xarch::Store& store);
 std::unique_ptr<Reader> RemoteReader(xarch::Client& client);
 
+/// The phases of a run. Each timing is corrected with the reference slices
+/// of the phase it was taken in.
+enum class Phase { kSetup, kLoop, kClosing };
+
 /// \brief Everything one run measured, before correction.
 struct Measures {
   double setup_s = 0;
+  /// Reference slice counts at which the loop and the closing phase
+  /// started (StartLoop, StartClosing); the set-up's slices come first.
+  size_t loop_from = 0;
+  size_t closing_from = SIZE_MAX;
+  Phase ingest_phase = Phase::kLoop;   ///< where the ingest_ms samples come from
+  Phase reopen_phase = Phase::kClosing;  ///< where the reopen_ms samples come from
   double ingest_bytes = 0;    ///< input XML archived by the timed appends
   Samples ingest_ms;          ///< one per timed append / INGEST
-  /// Reference median over the timed ingest when it is one burst of its
-  /// own (serve's set-up load); 0 corrects ingest with the whole run's.
-  double ingest_ref_us = 0;
   double archive_bytes = 0;   ///< Stats().stored_bytes
   double disk_bytes = 0;      ///< bytes on disk after a clean checkpoint
   Samples reopen_ms;
   Samples latency_ms[kKinds]; ///< per query kind
   Samples reads_ms;           ///< every read (p99)
+  /// The measured loop's operations by kind ("append", "reopen", a query
+  /// kind's name), and the summed latency of each whole round of them.
+  std::map<std::string, Samples> ops_ms;
+  Samples round_ms;
+  double round_acc_ms = 0;
   uint64_t attempted = 0;
   uint64_t failed = 0;
   bool correct = true;
   std::string error;
   void Fail(const std::string& what);
-  /// Records one read: its latency and whether it answered and checked.
+  /// Ends the set-up: records setup_s, from the process start.
+  void StartLoop(Clock::time_point start, const Reference& ref) {
+    setup_s = MsSince(start) / 1000;
+    loop_from = ref.slices();
+  }
+  void StartClosing(const Reference& ref) { closing_from = ref.slices(); }
+  /// Multiply a time taken in `phase` by this to correct it (divide a rate).
+  double Factor(const Reference& ref, Phase phase) const;
+  /// Records one operation of the measured loop.
+  void Op(const std::string& kind, double ms) {
+    ops_ms[kind].Add(ms);
+    round_acc_ms += ms;
+  }
+  /// Closes a round of the measured loop.
+  void EndRound() {
+    round_ms.Add(round_acc_ms);
+    round_acc_ms = 0;
+  }
+  /// Records one read of the measured loop.
   void Read(Kind kind, double ms) {
     latency_ms[static_cast<int>(kind)].Add(ms);
     reads_ms.Add(ms);
+    Op(KindName(kind), ms);
   }
+  /// Fails the run when |gap| exceeds `share` of `whole` (the traced run's
+  /// independent-path totals).
+  void HoldGap(const std::string& name, double gap, double whole, double share);
 };
 
 /// Per-layer figures from the traced run, by metric name.

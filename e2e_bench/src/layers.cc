@@ -7,7 +7,6 @@
 #include "keys/annotate.h"
 #include "query/parser.h"
 #include "query/planner.h"
-#include "vfs/vfs.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -21,16 +20,16 @@ void Require(const xarch::Status& st, const char* what) {
 }
 }  // namespace
 
-IngestProbe::IngestProbe(const char* spec_text, const std::string& wal_path,
-                         Tracer& tracer)
-    : tracer_(tracer), wal_path_(wal_path) {
+IngestProbe::IngestProbe(const char* spec_text, xarch::vfs::Vfs* vfs,
+                         const std::string& wal_path, Tracer& tracer)
+    : tracer_(tracer), vfs_(vfs), wal_path_(wal_path) {
   auto spec = xarch::keys::ParseKeySpecSet(spec_text);
   Require(spec.status(), "key spec");
   spec_ = std::move(spec).value();
   auto archive_spec = xarch::keys::ParseKeySpecSet(spec_text);
   archive_ = std::make_unique<xarch::core::Archive>(std::move(archive_spec).value());
   auto wal = xarch::persist::IngestLogWriter::Open(
-      xarch::vfs::Vfs::Posix(), wal_path, xarch::persist::FsyncPolicy::kEveryRecord);
+      vfs_, wal_path, xarch::persist::FsyncPolicy::kEveryRecord);
   Require(wal.status(), "probe log");
   wal_ = std::move(wal).value();
 }
@@ -78,7 +77,7 @@ double IngestProbe::Observe(std::string_view text, bool with_wal) {
   index_ms_.Add(MsBetween(t3, t4));
   wal_ms_.Add(MsBetween(t4, t5));
   serialize_ms_.Add(MsBetween(t5, t6));
-  auto size = xarch::vfs::Vfs::Posix()->FileSize(wal_path_);
+  auto size = vfs_->FileSize(wal_path_);
   if (size.ok()) wal_bytes_ = static_cast<double>(*size);
   return MsBetween(t0, t1) + MsBetween(t2, t4) + (with_wal ? MsBetween(t4, t5) : 0);
 }

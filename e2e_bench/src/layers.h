@@ -11,6 +11,7 @@
 #include "core/archive.h"
 #include "keys/key_spec.h"
 #include "persist/log.h"
+#include "vfs/vfs.h"
 
 namespace xbench {
 
@@ -22,8 +23,10 @@ namespace xbench {
 /// Store::Append for the same document.
 class IngestProbe {
  public:
-  /// `wal_path` is a scratch log on the real disk.
-  IngestProbe(const char* spec_text, const std::string& wal_path, Tracer& tracer);
+  /// `wal_path` is a scratch log, written through `vfs` with an fsync per
+  /// record, as the durable store writes its own log.
+  IngestProbe(const char* spec_text, xarch::vfs::Vfs* vfs, const std::string& wal_path,
+              Tracer& tracer);
 
   /// Runs the layers on one document; returns parse + merge + index build
   /// (+ WAL append when `with_wal`) in ms. Annotation nests inside the
@@ -35,6 +38,7 @@ class IngestProbe {
 
  private:
   Tracer& tracer_;
+  xarch::vfs::Vfs* vfs_;
   xarch::keys::KeySpecSet spec_;
   std::unique_ptr<xarch::core::Archive> archive_;
   xarch::persist::IngestLogWriter wal_;

@@ -48,8 +48,20 @@ constexpr int kMixedIngestOffsetMs = 250;
 // The open-loop generator sleeps until this long before a send is due and
 // spins the rest, so timer wake-up jitter does not land in the latencies.
 constexpr auto kSpin = std::chrono::microseconds(1500);
-// Restarts timed after the measured rounds (serve, mixed, sharded).
-constexpr int kReopens = 20;
+// Reference slices after each timed append, reopen and generated
+// Swiss-Prot release; one after each query.
+constexpr int kSlicesPerAppend = 8;
+constexpr int kSlicesPerReopen = 4;
+constexpr int kSlicesPerRelease = 8;
+// Restarts timed after the measured rounds: a durable reopen takes a few
+// ms (serve, mixed), a sharded one tens of ms.
+constexpr int kDurableReopens = 100;
+constexpr int kShardedReopens = 20;
+// Tolerances of the traced run's independent-path totals (README.md): the
+// ingest gap against Store::Append, the query gap against the loopback
+// point query.
+constexpr double kIngestGapShare = 0.25;
+constexpr double kQueryGapShare = 0.5;
 
 void Die(const Status& st, const char* what) {
   std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
@@ -114,7 +126,9 @@ double TimedAppend(Store& store, const std::string& text, Measures& m,
   }
   const double ms = MsSince(t0);
   ++m.attempted;
-  ref.Slice();
+  // An append takes tens of ms; a few slices after each keep the reference
+  // sample as large as on the query workloads.
+  for (int i = 0; i < kSlicesPerAppend; ++i) ref.Slice();
   if (!st.ok()) {
     ++m.failed;
     m.Fail("append: " + st.ToString());
@@ -146,12 +160,13 @@ struct XMark {
   xarch::synth::XMarkGenerator gen;
 };
 
-/// Opens the durable directory, runs one query and returns the store and
-/// the time from open to the first answer.
+/// Opens the durable directory, runs one query and returns the store; the
+/// time from open to the first answer goes to m.reopen_ms (and `took`).
 std::unique_ptr<Store> TimedReopen(const std::string& dir,
                                    xarch::DurableOptions options,
                                    const Query& first, Measures& m,
-                                   Reference& ref, Tracer& tracer) {
+                                   Reference& ref, Tracer& tracer,
+                                   double* took = nullptr) {
   const auto t0 = Clock::now();
   std::unique_ptr<Store> store;
   {
@@ -160,9 +175,11 @@ std::unique_ptr<Store> TimedReopen(const std::string& dir,
   }
   xarch::StringSink sink;
   Status st = store->Query(first.text, sink);
-  m.reopen_ms.Add(MsSince(t0));
+  const double ms = MsSince(t0);
+  m.reopen_ms.Add(ms);
+  if (took != nullptr) *took = ms;
   ++m.attempted;
-  ref.Slice();
+  for (int i = 0; i < kSlicesPerReopen; ++i) ref.Slice();
   if (!st.ok()) {
     ++m.failed;
     m.Fail("first query after reopen: " + st.ToString());
@@ -244,7 +261,7 @@ void RunCurate(const Args& args, Clock::time_point start, Reference& ref,
     xarch::synth::SwissProtGenerator gen(gen_options);
     for (int r = 0; r <= kReleases; ++r) {
       truth.AddVersion(*gen.NextVersion());
-      ref.Slice();
+      for (int i = 0; i < kSlicesPerRelease; ++i) ref.Slice();
     }
   }
   CrashVfs vfs(xarch::vfs::Vfs::Posix());
@@ -258,69 +275,43 @@ void RunCurate(const Args& args, Clock::time_point start, Reference& ref,
     o.snapshot_every_records = kSnapshotEvery;
     return o;
   };
+  // The probe's log goes through a wrapper of its own, so the store's
+  // write counts stay the store's.
+  CrashVfs probe_vfs(xarch::vfs::Vfs::Posix());
   std::unique_ptr<IngestProbe> probe;
   if (tracer.enabled()) {
     probe = std::make_unique<IngestProbe>(xarch::synth::SwissProtGenerator::KeySpecText(),
-                                          work + "/probe.log", tracer);
+                                          &probe_vfs, work + "/probe.log", tracer);
   }
-  QueryProbe query_probe(tracer);
-  Samples gap_ms, diff_ms, snapshot_open_ms, save_ms, heap_point_us;
-  double snapshot_bytes = 0, input_bytes = 0, versions = 0;
+  Samples gap_ms, snapshot_open_ms, save_ms;
+  double snapshot_bytes = 0;
   const std::string dir = work + "/curate";
-  const std::vector<int> per_release = {4, 4, 0, 1, 0};
-  m.setup_s = MsSince(start) / 1000;
+  m.reopen_phase = Phase::kLoop;
+  m.StartLoop(start, ref);
 
+  // Each round is a curator's session: the releases are archived one at a
+  // time and no query runs, until the machine goes down; the reopen and
+  // the retrieve of the last release are the durability check.
   const auto loop_start = Clock::now();
   for (int round = 0; round == 0 || MsSince(loop_start) < args.seconds * 1000; ++round) {
-    xarch::Rng rng(args.seed * 31 + 7);  // every round asks the same queries
-    Checker checker(truth);
     vfs.RemoveTree(dir);
     auto store = Take(xarch::OpenDurable(dir, durable_options()), "open durable");
-    auto reader = LocalReader(*store);
-    const xarch::StoreStats before = store->Stats();
     xarch::synth::SwissProtGenerator gen(gen_options);
     for (Version v = 1; v <= kReleases; ++v) {
       const std::string text = xarch::xml::Serialize(*gen.NextVersion());
       const double ms = TimedAppend(*store, text, m, ref, tracer);
       m.ingest_ms.Add(ms);
+      m.Op("append", ms);
       m.ingest_bytes += static_cast<double>(text.size());
-      if (probe) {
-        gap_ms.Add(ms - probe->Observe(text, /*with_wal=*/true));
-        input_bytes += static_cast<double>(text.size());
-        ++versions;
-      }
-      // The curator's checks of the new release: a few entries, their
-      // histories, the release itself, what changed, and the last eight
-      // releases of one entry.
-      std::vector<Query> reads = MakeRound(truth, per_release, v, rng);
-      reads.push_back(truth.MakeQuery(Kind::kRetrieve, v, rng));
-      reads.back().a = v;
-      reads.back().text = "/ROOT @ version " + std::to_string(v);
-      if (v >= 2) {
-        Query d = truth.MakeQuery(Kind::kDiff, v, rng);
-        d.a = v - 1;
-        d.b = v;
-        d.text = truth.shape().ContainerPath() + " diff " + std::to_string(v - 1) +
-                 " " + std::to_string(v);
-        reads.push_back(d);
-      }
-      for (int i = 0; v >= 8 && i < 8; ++i) {
-        reads.push_back(truth.MakeQuery(Kind::kRange, v, rng));
-      }
-      for (const Query& q : reads) {
-        if (tracer.enabled()) query_probe.Observe(q.text);
-        TimedRead(*reader, checker, q, m, ref, tracer, "Store::Query", v);
-      }
-      if (tracer.enabled() && v >= 2) diff_ms.Add(TimedDiff(*store, v - 1, tracer));
+      if (probe) gap_ms.Add(ms - probe->Observe(text, /*with_wal=*/true));
     }
     m.archive_bytes = static_cast<double>(store->Stats().stored_bytes);
     if (tracer.enabled()) {
-      FillProbes(*store, before, layers);
+      layers["core.archive_nodes"] = static_cast<double>(store->Stats().node_count);
       const std::string snap = work + "/probe.xar";
       save_ms.Add(TimedSave(*store, snap, tracer));
       snapshot_bytes = DirBytes(snap);
       snapshot_open_ms.Add(TimedSnapshotOpen(snap, tracer));
-      heap_point_us.Add(InProcessPointUs(*store, truth, kReleases, 50, args.seed, tracer));
     }
 
     // The machine goes down while the next release is being logged: its
@@ -328,22 +319,27 @@ void RunCurate(const Args& args, Clock::time_point start, Reference& ref,
     const std::string crashed = xarch::xml::Serialize(*gen.NextVersion());
     vfs.ArmCrash();
     if (store->Append(crashed).ok()) m.Fail("append during the crash was acknowledged");
-    reader.reset();
     store.reset();
     Take(vfs.Crash(), "crash");
     xarch::Rng first_rng(args.seed);
+    double reopen_ms = 0;
     store = TimedReopen(dir, durable_options(),
                         truth.MakeQuery(Kind::kPoint, kReleases, first_rng), m, ref,
-                        tracer);
+                        tracer, &reopen_ms);
+    m.Op("reopen", reopen_ms);
     if (store->version_count() != static_cast<Version>(kReleases)) {
       m.Fail("reopened store holds " + std::to_string(store->version_count()) +
              " versions, acknowledged " + std::to_string(kReleases));
     }
-    reader = LocalReader(*store);
+    Checker checker(truth);
+    auto reader = LocalReader(*store);
+    xarch::Rng rng(args.seed * 31 + 7);
     Query last = truth.MakeQuery(Kind::kRetrieve, kReleases, rng);
     last.a = kReleases;
     last.text = "/ROOT @ version " + std::to_string(kReleases);
     TimedRead(*reader, checker, last, m, ref, tracer, "Store::Query", kReleases);
+    m.EndRound();
+    reader.reset();
     if (Status st = xarch::CheckpointDurableIfDirty(*store); !st.ok()) {
       Die(st, "checkpoint");
     }
@@ -352,15 +348,10 @@ void RunCurate(const Args& args, Clock::time_point start, Reference& ref,
   vfs.RemoveTree(dir);
   if (tracer.enabled()) {
     probe->Fill(layers);
-    query_probe.Fill(layers);
     layers["trace.ingest_unattributed_ms"] = gap_ms.Median();
     layers["xarch.append_ms"] = tracer.DurationsMs("Store::Append").Median();
-    layers["xarch.query_us.point"] = m.latency_ms[0].Median() * 1000;
-    layers["xarch.query_us.history"] = m.latency_ms[1].Median() * 1000;
-    layers["xarch.query_us.range"] = m.latency_ms[2].Median() * 1000;
-    layers["xarch.query_us.heap_point"] = heap_point_us.Median();
-    layers["xarch.retrieve_ms"] = m.latency_ms[3].Median();
-    layers["core.diff_ms"] = diff_ms.Median();
+    m.HoldGap("trace.ingest_unattributed_ms", gap_ms.Median(), layers["xarch.append_ms"],
+              kIngestGapShare);
     layers["persist.snapshot_save_ms"] = save_ms.Median();
     layers["persist.snapshot_bytes"] = snapshot_bytes;
     layers["persist.snapshot_open_ms"] = snapshot_open_ms.Median();
@@ -404,8 +395,9 @@ void IngestCorpus(Store& store, XMark& xmark, Truth& truth, bool timed,
   }
 }
 
-Query FirstQuery(const Truth& truth, uint64_t seed) {
-  xarch::Rng rng(seed);
+/// The query each reopen waits for: a point query, another one each time,
+/// so the reopen median does not rest on one element.
+Query FirstQuery(const Truth& truth, xarch::Rng& rng) {
   return truth.MakeQuery(Kind::kPoint, kXMarkVersions, rng);
 }
 
@@ -459,10 +451,11 @@ void RunServe(const Args& args, Clock::time_point start, Reference& ref,
   XMark xmark(args.seed);
   CrashVfs vfs(xarch::vfs::Vfs::Posix());  // counts only; never crashes here
   const std::string dir = work + "/serve";
+  CrashVfs probe_vfs(xarch::vfs::Vfs::Posix());
   std::unique_ptr<IngestProbe> probe;
   if (tracer.enabled()) {
     probe = std::make_unique<IngestProbe>(xarch::synth::XMarkGenerator::KeySpecText(),
-                                          work + "/probe.log", tracer);
+                                          &probe_vfs, work + "/probe.log", tracer);
   }
   Samples gap_ms;
   // The corpus is loaded into an in-memory archive store (index on) and
@@ -476,10 +469,8 @@ void RunServe(const Args& args, Clock::time_point start, Reference& ref,
     return Take(xarch::StoreRegistry::Create("archive", std::move(load_options)), "create");
   };
   auto loader = make_loader();
-  const size_t first_slice = ref.slices();
-  IngestCorpus(*loader, xmark, truth, /*timed=*/true, m, ref, tracer, probe.get(),
+  IngestCorpus(*loader, xmark, truth, /*timed=*/false, m, ref, tracer, probe.get(),
                /*with_wal=*/false, &gap_ms);
-  m.ingest_ref_us = ref.MedianUsSince(first_slice);
   if (tracer.enabled()) {
     // The same point queries on the heap archive, before the restart.
     layers["xarch.query_us.heap_point"] =
@@ -487,20 +478,21 @@ void RunServe(const Args& args, Clock::time_point start, Reference& ref,
     probe->Fill(layers);
     layers["trace.ingest_unattributed_ms"] = gap_ms.Median();
     layers["xarch.append_ms"] = tracer.DurationsMs("Store::Append").Median();
+    m.HoldGap("trace.ingest_unattributed_ms", gap_ms.Median(), layers["xarch.append_ms"],
+              kIngestGapShare);
   }
   m.archive_bytes = static_cast<double>(loader->Stats().stored_bytes);
   if (Status st = vfs.CreateDirs(dir); !st.ok()) Die(st, "mkdir");
   if (Status st = loader->SaveToFile(dir + "/snapshot.xar"); !st.ok()) Die(st, "checkpoint");
   loader.reset();
-  const Query first = FirstQuery(truth, args.seed);
   // Restarted from the checkpoint, the store serves the flat XAR2 archive.
-  auto store = TimedReopen(dir, XMarkDurable(&vfs), first, m, ref, tracer);
+  auto store = Take(xarch::OpenDurable(dir, XMarkDurable(&vfs)), "restart");
   m.disk_bytes = DirBytes(dir);
   auto server = StartServer(*store, 2);
   auto client = Connect(*server);
   auto reader = RemoteReader(*client);
   auto local = LocalReader(*store);
-  m.setup_s = MsSince(start) / 1000;
+  m.StartLoop(start, ref);
 
   xarch::Rng rng(args.seed * 31 + 7);
   Checker checker(truth);
@@ -538,6 +530,7 @@ void RunServe(const Args& args, Clock::time_point start, Reference& ref,
         gap_us.Add((ms - in_ms - ping) * 1000);
       }
     }
+    m.EndRound();
   }
   // Counters are read on the issuing connection: the server counts a query
   // only after it wrote DONE, so another connection could read a stale
@@ -558,6 +551,8 @@ void RunServe(const Args& args, Clock::time_point start, Reference& ref,
     SetRatio(layers, "server.bytes_out_per_query",
              static_cast<double>(stats.session_bytes_out), static_cast<double>(done));
     layers["trace.query_unattributed_us"] = gap_us.Median();
+    m.HoldGap("trace.query_unattributed_us", gap_us.Median(),
+              m.latency_ms[static_cast<int>(Kind::kPoint)].Median() * 1000, kQueryGapShare);
     xarch::Rng diff_rng(args.seed);
     for (int i = 0; i < 20; ++i) {
       diff_ms.Add(TimedDiff(*store, static_cast<Version>(diff_rng.Uniform(1, kXMarkVersions - 1)),
@@ -570,9 +565,12 @@ void RunServe(const Args& args, Clock::time_point start, Reference& ref,
   StopServer(server);
   local.reset();
   store.reset();
-  for (int i = 1; i < kReopens; ++i) {
-    store = TimedReopen(dir, XMarkDurable(&vfs), first, m, ref, tracer);
-    if (i + 1 < kReopens) store.reset();
+  m.StartClosing(ref);
+  xarch::Rng first_rng(args.seed);
+  for (int i = 0; i < kDurableReopens; ++i) {
+    store =
+        TimedReopen(dir, XMarkDurable(&vfs), FirstQuery(truth, first_rng), m, ref, tracer);
+    if (i + 1 < kDurableReopens) store.reset();
   }
   if (tracer.enabled()) {
     FillSnapshotLayers(*store, work + "/probe.xar", m, /*durable=*/true, tracer, layers);
@@ -588,10 +586,11 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
   XMark xmark(args.seed);
   CrashVfs vfs(xarch::vfs::Vfs::Posix());  // counts only; never crashes here
   const std::string dir = work + "/mixed";
+  CrashVfs probe_vfs(xarch::vfs::Vfs::Posix());
   std::unique_ptr<IngestProbe> probe;
   if (tracer.enabled()) {
     probe = std::make_unique<IngestProbe>(xarch::synth::XMarkGenerator::KeySpecText(),
-                                          work + "/probe.log", tracer);
+                                          &probe_vfs, work + "/probe.log", tracer);
   }
   Samples gap_ms;
   auto store = Take(xarch::OpenDurable(dir, XMarkDurable(&vfs)), "open durable");
@@ -602,7 +601,7 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
   std::vector<std::unique_ptr<xarch::Client>> read_clients;
   for (int r = 0; r < kMixedReaders; ++r) read_clients.push_back(Connect(*server));
   std::string next = xmark.Next(truth);
-  m.setup_s = MsSince(start) / 1000;
+  m.StartLoop(start, ref);
 
   // Open loop: a fixed schedule of rounds; each reader sends its round's
   // reads evenly spaced, and the writer ingests one version mid-round.
@@ -628,10 +627,14 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
     Measures m;
     Reference ref;
     Samples late_ms;
+    std::vector<double> round_ms;  ///< summed read latency per round
     std::vector<ReadRecord> records;
   };
   std::vector<std::unique_ptr<ReaderState>> states;
-  for (int r = 0; r < kMixedReaders; ++r) states.push_back(std::make_unique<ReaderState>());
+  for (int r = 0; r < kMixedReaders; ++r) {
+    states.push_back(std::make_unique<ReaderState>());
+    states.back()->round_ms.assign(rounds, 0.0);
+  }
   std::vector<std::thread> threads;
   for (int r = 0; r < kMixedReaders; ++r) {
     threads.emplace_back([&, r] {
@@ -663,6 +666,7 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
             s.m.Fail(q.text + ": " + st.ToString());
           } else {
             s.m.Read(q.kind, MsBetween(due, end));
+            s.round_ms[k] += MsBetween(due, end);
             if (!checker.Check(q, out, known, seen)) s.m.Fail(checker.first_error());
           }
           if (tracer.enabled()) s.records.push_back({due, end, q.text});
@@ -672,6 +676,7 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
     });
   }
   std::vector<std::pair<Clock::time_point, Clock::time_point>> ingests;
+  std::vector<double> ingest_round_ms(rounds, 0.0);
   for (int k = 0; k < rounds; ++k) {
     WaitUntil(t0 + round_len * k + std::chrono::milliseconds(kMixedIngestOffsetMs));
     const Version prev = committed.load();
@@ -694,6 +699,7 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
       }
       committed.store(*count);
       m.ingest_ms.Add(MsBetween(sent, end));
+      ingest_round_ms[k] = MsBetween(sent, end);
       m.ingest_bytes += static_cast<double>(next.size());
     }
     ingests.emplace_back(sent, end);
@@ -709,8 +715,16 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
     if (!s->m.correct) m.Fail(s->m.error);
     for (int k = 0; k < kKinds; ++k) m.latency_ms[k].Append(s->m.latency_ms[k]);
     m.reads_ms.Append(s->m.reads_ms);
+    for (const auto& [kind, samples] : s->m.ops_ms) m.ops_ms[kind].Append(samples);
     ref.Merge(s->ref);
     late_ms.Append(s->late_ms);
+  }
+  m.StartClosing(ref);
+  m.ops_ms["ingest"] = m.ingest_ms;
+  for (int k = 0; k < rounds; ++k) {
+    double total = ingest_round_ms[k];
+    for (auto& s : states) total += s->round_ms[k];
+    m.round_ms.Add(total);
   }
   if (store->version_count() != static_cast<Version>(kXMarkVersions + rounds)) {
     m.Fail("store holds " + std::to_string(store->version_count()) + " versions after " +
@@ -722,6 +736,8 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
     probe->Fill(layers);
     layers["trace.ingest_unattributed_ms"] = gap_ms.Median();
     layers["xarch.append_ms"] = tracer.DurationsMs("Store::Append").Median();
+    m.HoldGap("trace.ingest_unattributed_ms", gap_ms.Median(), layers["xarch.append_ms"],
+              kIngestGapShare);
     layers["load.late_ms"] = late_ms.Quantile(0.99);
     layers["xarch.query_us.heap_point"] =
         InProcessPointUs(*store, truth, kXMarkVersions, 200, args.seed, tracer);
@@ -763,10 +779,11 @@ void RunMixed(const Args& args, Clock::time_point start, Reference& ref,
   CheckpointOrDie(*store);
   m.disk_bytes = DirBytes(dir);
   store.reset();
-  const Query first = FirstQuery(truth, args.seed);
-  for (int i = 0; i < kReopens; ++i) {
-    store = TimedReopen(dir, XMarkDurable(&vfs), first, m, ref, tracer);
-    if (i + 1 < kReopens) store.reset();
+  xarch::Rng first_rng(args.seed);
+  for (int i = 0; i < kDurableReopens; ++i) {
+    store =
+        TimedReopen(dir, XMarkDurable(&vfs), FirstQuery(truth, first_rng), m, ref, tracer);
+    if (i + 1 < kDurableReopens) store.reset();
   }
   if (tracer.enabled()) {
     FillSnapshotLayers(*store, work + "/probe.xar", m, /*durable=*/true, tracer, layers);
@@ -780,10 +797,11 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
                 const std::string& work) {
   Truth truth(XMarkShape());
   XMark xmark(args.seed);
+  CrashVfs probe_vfs(xarch::vfs::Vfs::Posix());
   std::unique_ptr<IngestProbe> probe;
   if (tracer.enabled()) {
     probe = std::make_unique<IngestProbe>(xarch::synth::XMarkGenerator::KeySpecText(),
-                                          work + "/probe.log", tracer);
+                                          &probe_vfs, work + "/probe.log", tracer);
   }
   Samples gap_ms;
   xarch::StoreOptions options;
@@ -797,7 +815,8 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
                /*with_wal=*/false, &gap_ms);
   m.archive_bytes = static_cast<double>(store->Stats().stored_bytes);
   auto reader = LocalReader(*store);
-  m.setup_s = MsSince(start) / 1000;
+  m.ingest_phase = Phase::kSetup;
+  m.StartLoop(start, ref);
 
   auto scatter = [&] {
     uint64_t total = 0;
@@ -818,7 +837,8 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
   xarch::Rng rng(args.seed * 31 + 7);
   Checker checker(truth);
   QueryProbe query_probe(tracer);
-  const std::vector<int> counts = {6, 6, 1, 1, 1};
+  // The serve corpus's point and history queries.
+  const std::vector<int> counts = {6, 6, 0, 0, 0};
   const auto loop_start = Clock::now();
   uint64_t queries = 0;
   while (queries == 0 || MsSince(loop_start) < args.seconds * 1000) {
@@ -827,6 +847,7 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
       TimedRead(*reader, checker, q, m, ref, tracer, "Store::Query", kXMarkVersions);
       ++queries;
     }
+    m.EndRound();
   }
   if (tracer.enabled()) {
     probe->Fill(layers);
@@ -836,8 +857,6 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
     layers["xarch.append_ms"] = tracer.DurationsMs("Store::Append").Median();
     layers["xarch.query_us.point"] = m.latency_ms[0].Median() * 1000;
     layers["xarch.query_us.history"] = m.latency_ms[1].Median() * 1000;
-    layers["xarch.query_us.range"] = m.latency_ms[2].Median() * 1000;
-    layers["xarch.retrieve_ms"] = m.latency_ms[3].Median();
     SetRatio(layers, "shard.scatter_reads_per_query",
              static_cast<double>(scatter() - scatter0), static_cast<double>(queries));
     SetRatio(layers, "shard.routed_per_query",
@@ -849,21 +868,16 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
       total += nodes;
     }
     SetRatio(layers, "shard.ingest_imbalance", largest * sharded->shard_count(), total);
-    Samples diff_ms;
-    xarch::Rng diff_rng(args.seed);
-    for (int i = 0; i < 10; ++i) {
-      diff_ms.Add(TimedDiff(*store, static_cast<Version>(diff_rng.Uniform(1, kXMarkVersions - 1)),
-                            tracer));
-    }
-    layers["core.diff_ms"] = diff_ms.Median();
   }
+  m.StartClosing(ref);
   const std::string snap = work + "/sharded.xar";
   const double save_ms = TimedSave(*store, snap, tracer);
   m.disk_bytes = DirBytes(snap);
   reader.reset();
   store.reset();
-  const Query first = FirstQuery(truth, args.seed);
-  for (int i = 0; i < kReopens; ++i) {
+  xarch::Rng first_rng(args.seed);
+  for (int i = 0; i < kShardedReopens; ++i) {
+    const Query first = FirstQuery(truth, first_rng);
     const auto t0 = Clock::now();
     std::unique_ptr<Store> reopened;
     {
@@ -874,7 +888,7 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
     Status st = reopened->Query(first.text, sink);
     m.reopen_ms.Add(MsSince(t0));
     ++m.attempted;
-    ref.Slice();
+    for (int s = 0; s < kSlicesPerReopen; ++s) ref.Slice();
     if (!st.ok()) {
       ++m.failed;
       m.Fail("first query after reopen: " + st.ToString());
@@ -883,7 +897,7 @@ void RunSharded(const Args& args, Clock::time_point start, Reference& ref,
   if (tracer.enabled()) {
     layers["persist.snapshot_save_ms"] = save_ms;
     layers["persist.snapshot_bytes"] = m.disk_bytes;
-    layers["persist.snapshot_open_ms"] = m.reopen_ms.Median();
+    layers["persist.snapshot_open_ms"] = tracer.DurationsMs("StoreRegistry::Open").Median();
   }
 }
 
